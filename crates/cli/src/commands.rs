@@ -388,7 +388,7 @@ pub fn replay(args: &ParsedArgs) -> CmdResult {
     if args.flag("digest") {
         // Comparable against the digests `ingest serve` prints: equal
         // digests prove the served scoring path matched this replay.
-        println!("digest {:016x}", temspc_ingest::detection_digest(&outcome));
+        println!("digest {:016x}", temspc_fleet::detection_digest(&outcome));
     }
     if let Some(net_path) = args.get("net") {
         let network = load_network_monitor(net_path)?;
@@ -492,7 +492,7 @@ fn run_fleet(
         config.hours
     );
     match engine.run() {
-        Ok(report) => println!("\n{report}"),
+        Ok(report) => print_plants(&report),
         Err(temspc_fleet::FleetError::Interrupted { completed, total }) => {
             println!("\ninterrupted: {completed}/{total} plants completed; in-flight work drained");
             match args.get("checkpoint") {
@@ -513,6 +513,16 @@ fn run_fleet(
         println!("wrote {path}");
     }
     Ok(())
+}
+
+/// One row per plant, then the confusion matrix: the report layout that
+/// `fleet` and `ingest serve` share.
+fn print_plants(report: &temspc_fleet::FleetReport) {
+    println!();
+    for record in &report.records {
+        println!("{record}");
+    }
+    println!("\n{report}");
 }
 
 /// The calibration campaign of the shared `--calib-*` and `--threads`
@@ -775,23 +785,7 @@ fn run_ingest_serve(
     let stop = temspc_ingest::install_handlers();
     let report = server.run(stop)?;
 
-    for conn in &report.connections {
-        let status = if conn.completed { "complete" } else { "torn" };
-        let latency = conn
-            .detection_latency_hours
-            .map_or_else(|| "-".to_string(), |h| format!("{:.1} s", h * 3600.0));
-        let verdict = conn
-            .verdict
-            .map_or_else(|| "-".to_string(), |v| v.to_string());
-        println!(
-            "plant {:>4} [{status}] {} steps, verdict {verdict}, latency {latency}, digest {:016x}, gen {}",
-            conn.plant, conn.steps, conn.digest, conn.model_generation
-        );
-        if let Some(fault) = &conn.fault {
-            println!("  fault: {fault}");
-        }
-    }
-    println!("\n{}", report.fleet_report());
+    print_plants(&report.fleet_report());
     println!(
         "totals: {} connection(s), {} frames, {} steps, {} wire bytes, {} dropped, {} reassembly error(s)",
         report.connections.len(),

@@ -74,3 +74,6 @@ pub use scenario::{Scenario, ScenarioKind};
 // live incident stream) can name the event type without a direct
 // `temspc-mspc` dependency.
 pub use temspc_mspc::AnomalousEvent;
+// Re-exported so per-plant reports can turn a run's end hour into its
+// step count without a direct `temspc-tesim` dependency.
+pub use temspc_tesim::SAMPLES_PER_HOUR;

@@ -78,6 +78,13 @@ pub enum FrameError {
         /// Number of values in the frame.
         count: usize,
     },
+    /// The timestamp or a payload value is NaN or infinite. No sensor or
+    /// actuator reads that, and a NaN slips past every control-limit
+    /// comparison, so it is rejected at the wire instead of being scored.
+    NonFinite {
+        /// Payload index of the offending value (`None`: the timestamp).
+        index: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -100,6 +107,10 @@ impl std::fmt::Display for FrameError {
                 f,
                 "frame holds {count} values but the count field caps at {MAX_VALUES}"
             ),
+            FrameError::NonFinite { index: None } => write!(f, "non-finite timestamp"),
+            FrameError::NonFinite { index: Some(i) } => {
+                write!(f, "non-finite value at payload index {i}")
+            }
         }
     }
 }
@@ -184,7 +195,8 @@ impl Frame {
     /// # Errors
     ///
     /// Returns a [`FrameError`] for truncated buffers, bad magic, unknown
-    /// kinds, a nonzero reserved byte, or any payload-length mismatch.
+    /// kinds, a nonzero reserved byte, any payload-length mismatch, or a
+    /// NaN or infinite timestamp or value.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
         let mut frame = Frame::new(FrameKind::SensorReport, 0, 0.0, Vec::new());
         Frame::decode_into(buf, &mut frame)?;
@@ -214,6 +226,9 @@ impl Frame {
         }
         let seq = buf.get_u32();
         let hour = buf.get_f64();
+        if !hour.is_finite() {
+            return Err(FrameError::NonFinite { index: None });
+        }
         let advertised = buf.get_u16() as usize;
         let payload_bytes = buf.remaining();
         if payload_bytes != advertised * 8 {
@@ -227,7 +242,10 @@ impl Frame {
         out.hour = hour;
         out.values.clear();
         out.values.extend((0..advertised).map(|_| buf.get_f64()));
-        Ok(())
+        match out.values.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(FrameError::NonFinite { index: Some(index) }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -343,6 +361,31 @@ mod tests {
         // Exactly MAX_VALUES still round-trips.
         let full = Frame::new(FrameKind::SensorReport, 1, 1.0, vec![0.5; MAX_VALUES]);
         assert_eq!(Frame::decode(&full.encode().unwrap()).unwrap(), full);
+    }
+
+    #[test]
+    fn non_finite_timestamp_or_value_rejected() {
+        let encode = |hour: f64, values: Vec<f64>| {
+            Frame::new(FrameKind::SensorReport, 1, hour, values)
+                .encode()
+                .unwrap()
+        };
+        assert_eq!(
+            Frame::decode(&encode(1.0, vec![1.0, f64::NAN, 3.0])),
+            Err(FrameError::NonFinite { index: Some(1) })
+        );
+        assert_eq!(
+            Frame::decode(&encode(1.0, vec![f64::NEG_INFINITY])),
+            Err(FrameError::NonFinite { index: Some(0) })
+        );
+        assert_eq!(
+            Frame::decode(&encode(f64::INFINITY, vec![1.0])),
+            Err(FrameError::NonFinite { index: None })
+        );
+        assert_eq!(
+            Frame::decode(&encode(f64::NAN, vec![])),
+            Err(FrameError::NonFinite { index: None })
+        );
     }
 
     #[test]

@@ -121,11 +121,12 @@ mod tests {
                 kind: ScenarioKind::Idv6,
                 seed: 99,
                 completed: true,
-                restarts: 1,
+                steps: 2000,
                 fault: Some("transient".into()),
                 detection_latency_hours: Some(0.07),
                 false_alarms: 0,
                 verdict: Some(temspc::Verdict::Disturbance),
+                digest: 0x0123_4567_89ab_cdef,
                 shutdown_hour: None,
                 model_generation: 1,
             }],

@@ -12,10 +12,10 @@
 //! any thread count — the pool only changes *when* a plant runs, never
 //! *what* it computes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-use temspc::diagnosis::{diagnose, VerdictThresholds};
 use temspc::{DualMspc, Scenario, ScenarioKind, ScenarioOutcome};
 
 use crate::checkpoint::{self, CheckpointError, FleetCheckpoint};
@@ -23,7 +23,6 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::pool::WorkerPool;
 use crate::report::{FleetReport, PlantRecord};
 use crate::store::{ModelStore, PlantKey, ResolvedModel};
-use crate::supervisor::{supervise, SupervisionPolicy};
 
 /// Where each plant's traffic comes from.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -55,13 +54,11 @@ pub struct FleetConfig {
     pub attack_fraction: f64,
     /// Seed of the whole fleet; per-plant seeds are derived from it.
     pub fleet_seed: u64,
-    /// Restart policy for panicking plant jobs.
-    pub supervision: SupervisionPolicy,
     /// Save a checkpoint every this many completed plants
     /// (0 → only at the end).
     pub checkpoint_every: usize,
-    /// Chaos hook: plant indices whose *first* attempt panics
-    /// deliberately (exercises the supervisor; empty in production).
+    /// Chaos hook: plant indices whose job panics deliberately on every
+    /// run (exercises the per-plant panic boundary; empty in production).
     pub inject_panic_plants: Vec<u32>,
     /// Traffic source: live simulation or recorded capture replay.
     pub source: PlantSource,
@@ -81,7 +78,6 @@ impl Default for FleetConfig {
             onset_hour: 0.5,
             attack_fraction: 0.25,
             fleet_seed: 2016,
-            supervision: SupervisionPolicy::default(),
             checkpoint_every: 8,
             inject_panic_plants: Vec::new(),
             source: PlantSource::Live,
@@ -269,7 +265,6 @@ struct FleetMetrics {
     scheduled: Counter,
     completed: Counter,
     failed: Counter,
-    restarts: Counter,
     shutdowns: Counter,
     false_alarms: Counter,
     verdict_disturbance: Counter,
@@ -289,11 +284,7 @@ impl FleetMetrics {
             completed: registry.counter("fleet_plants_completed_total", "plant jobs completed"),
             failed: registry.counter(
                 "fleet_plants_failed_total",
-                "plant jobs that exhausted their restart budget",
-            ),
-            restarts: registry.counter(
-                "fleet_worker_restarts_total",
-                "supervised restarts after worker panics",
+                "plant jobs that panicked or whose run, capture or model resolution failed",
             ),
             shutdowns: registry.counter(
                 "fleet_interlock_shutdowns_total",
@@ -329,7 +320,6 @@ impl FleetMetrics {
 
     fn record(&self, record: &PlantRecord) {
         self.completed.inc();
-        self.restarts.add(u64::from(record.restarts));
         self.false_alarms.add(u64::from(record.false_alarms));
         if !record.completed {
             self.failed.inc();
@@ -347,6 +337,17 @@ impl FleetMetrics {
         if let Some(latency) = record.detection_latency_hours {
             self.latency.observe(latency);
         }
+    }
+}
+
+/// Extracts a human-readable message from a panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -521,69 +522,34 @@ impl<'a> FleetEngine<'a> {
         }
     }
 
-    /// Runs one supervised plant job to a finished record.
+    /// Runs one plant job to a finished record. A panic anywhere in the
+    /// job fails this plant alone: it is caught here and reported as the
+    /// record's fault. (A rerun could only panic again — the job is a
+    /// pure function of the plant's scenario.)
     fn run_plant(&self, plant: usize) -> PlantRecord {
         let scenario = plant_scenario(&self.config, plant);
-        let inject = self
-            .config
-            .inject_panic_plants
-            .contains(&(plant as u32))
-            .then(|| std::sync::atomic::AtomicBool::new(true));
-        let supervised = supervise(self.config.supervision, || {
-            if let Some(armed) = &inject {
-                if armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                    panic!("chaos: injected panic for plant {plant}");
-                }
+        let job = || {
+            if self.config.inject_panic_plants.contains(&(plant as u32)) {
+                panic!("chaos: injected panic for plant {plant}");
             }
             let resolved = self.resolve_monitor(plant)?;
-            let outcome = self.execute_plant(resolved.monitor(), plant, &scenario)?;
-            let verdict = diagnose(resolved.monitor(), &outcome, VerdictThresholds::default())
-                .map(|d| d.verdict);
-            Ok::<_, String>((outcome, verdict, resolved.generation()))
-        });
-        let restarts = supervised.restarts;
-        let fault = supervised.panics.last().cloned();
-        match supervised.result {
-            Some(Ok((outcome, verdict, model_generation))) => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: true,
-                restarts,
-                fault,
-                detection_latency_hours: outcome.detection.run_length(scenario.onset_hour),
-                false_alarms: outcome.false_alarms as u32,
-                verdict,
-                shutdown_hour: outcome.run.shutdown.map(|(_, hour)| hour),
-                model_generation,
-            },
-            Some(Err(message)) => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: false,
-                restarts,
-                fault: Some(message),
-                detection_latency_hours: None,
-                false_alarms: 0,
-                verdict: None,
-                shutdown_hour: None,
-                model_generation: 0,
-            },
-            None => PlantRecord {
-                plant: plant as u32,
-                kind: scenario.kind,
-                seed: scenario.seed,
-                completed: false,
-                restarts,
-                fault,
-                detection_latency_hours: None,
-                false_alarms: 0,
-                verdict: None,
-                shutdown_hour: None,
-                model_generation: 0,
-            },
-        }
+            let monitor = resolved.monitor();
+            let outcome = self.execute_plant(monitor, plant, &scenario)?;
+            let generation = resolved.generation();
+            Ok::<_, String>(PlantRecord::scored(
+                plant as u32,
+                monitor,
+                &outcome,
+                None,
+                generation,
+            ))
+        };
+        let fault = match catch_unwind(AssertUnwindSafe(job)) {
+            Ok(Ok(record)) => return record,
+            Ok(Err(message)) => message,
+            Err(payload) => panic_message(payload),
+        };
+        PlantRecord::failed(plant as u32, scenario.kind, scenario.seed, fault)
     }
 
     /// Runs the campaign: schedules every plant not already covered by

@@ -15,13 +15,14 @@
 //!   reassembly for any thread count);
 //! * [`engine`] — the fleet scheduler: derives each plant's scenario
 //!   deterministically from the fleet seed, fans jobs out, aggregates;
+//!   a panicking plant job fails that plant alone;
 //! * [`metrics`] — an atomics-based metrics registry (counters, gauges,
 //!   latency histograms) with Prometheus-style text exposition;
-//! * [`supervisor`] — panic capture per worker, bounded restart from the
-//!   plant's own seed, graceful degradation on interlock trips;
 //! * [`checkpoint`] — periodic fleet snapshots in the TPB format and
 //!   resume;
-//! * [`report`] — per-plant records and the aggregate fleet report;
+//! * [`report`] — the per-plant record (one builder for fleet and
+//!   served plants alike, with its [`detection_digest`]) and the
+//!   aggregate fleet report;
 //! * [`calibrate`] — the pooled calibration campaign, byte-identical to
 //!   the sequential one in `temspc`;
 //! * [`store`] — the sharded per-plant calibration store: keyed TPB
@@ -51,7 +52,6 @@ pub mod metrics;
 pub mod pool;
 pub mod report;
 pub mod store;
-pub mod supervisor;
 
 pub use calibrate::{
     calibrate, collect_calibration_data_pooled, collect_calibration_data_pooled_on, CalibrateError,
@@ -63,9 +63,8 @@ pub use engine::{
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use pool::WorkerPool;
-pub use report::{FleetReport, Outcome, PlantRecord, Truth};
+pub use report::{detection_digest, FleetReport, Outcome, PlantRecord, Truth};
 pub use store::{ModelStore, PlantKey, ResolvedModel, StoreConfig, StoreError};
-pub use supervisor::{supervise, Supervised, SupervisionPolicy};
 
 /// Compile-time assertion that `T` can be shared across the pool's
 /// worker threads.

@@ -1,24 +1,27 @@
-//! Aggregate fleet reporting: per-plant records, the
+//! Per-plant records and aggregate reporting: the
 //! disturbance-vs-intrusion confusion matrix and latency statistics.
 
 use serde::{Deserialize, Serialize};
-use temspc::{ScenarioKind, Verdict};
+use temspc::diagnosis::{diagnose, VerdictThresholds};
+use temspc::{DualMspc, ScenarioKind, ScenarioOutcome, Verdict, SAMPLES_PER_HOUR};
 
-/// Everything the fleet learned about one plant.
+/// Everything one plant yielded, whether it ran in a fleet campaign or
+/// streamed into `temspc ingest serve`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlantRecord {
-    /// Plant index within the fleet.
+    /// Plant index within the fleet (`u32::MAX` for a served connection
+    /// whose handshake never arrived).
     pub plant: u32,
     /// The scenario this plant ran (ground truth).
     pub kind: ScenarioKind,
-    /// The plant's derived RNG seed.
+    /// The plant's RNG seed.
     pub seed: u64,
-    /// Whether any supervised attempt completed (false → gave up after
-    /// the restart budget, or the closed loop returned an error).
+    /// Whether the plant was scored to a clean end (false → it panicked,
+    /// its run, capture or model resolution failed, or its stream tore).
     pub completed: bool,
-    /// Restarts the supervisor performed for this plant.
-    pub restarts: u32,
-    /// Last panic or run-error message, if the plant ever faulted.
+    /// Closed-loop steps scored.
+    pub steps: u64,
+    /// Panic, run-error or stream-fault message of a failed plant.
     pub fault: Option<String>,
     /// Hours from anomaly onset to first detection (either level).
     pub detection_latency_hours: Option<f64>,
@@ -27,16 +30,71 @@ pub struct PlantRecord {
     /// The dual-level oMEDA verdict, if an anomalous window was
     /// collected.
     pub verdict: Option<Verdict>,
-    /// Hour at which a safety interlock shut the plant down, if one did.
+    /// [`detection_digest`] of the scored outcome, for bit-identity
+    /// diffs between live, replayed and served runs (0 when not scored).
+    pub digest: u64,
+    /// Hour at which a safety interlock shut the plant down, if one did
+    /// (always `None` when served: the wire carries no shutdown record).
     pub shutdown_hour: Option<f64>,
     /// Generation of the model-store entry that scored this plant
-    /// (0 = the engine's shared monitor, which has no store lineage).
-    /// Checkpoint resume compares this against the store's current
-    /// generation so one report never mixes calibrations.
+    /// (0 = a shared monitor, which has no store lineage). Checkpoint
+    /// resume compares this against the store's current generation so
+    /// one report never mixes calibrations.
     pub model_generation: u64,
 }
 
 impl PlantRecord {
+    /// The record of a plant scored to a clean end: the one place an
+    /// outcome becomes a verdict, a digest and a detection latency.
+    ///
+    /// `steps` is the number of steps scored; `None` derives it from the
+    /// run's end hour (the shutdown hour, or the scenario duration),
+    /// which is exact for a simulated or replayed run because the plant
+    /// advances one `1 / SAMPLES_PER_HOUR` hour per step.
+    pub fn scored(
+        plant: u32,
+        monitor: &DualMspc,
+        outcome: &ScenarioOutcome,
+        steps: Option<u64>,
+        model_generation: u64,
+    ) -> Self {
+        let scenario = &outcome.run.scenario;
+        let shutdown_hour = outcome.run.shutdown.map(|(_, hour)| hour);
+        let end_hour = shutdown_hour.unwrap_or(scenario.duration_hours);
+        PlantRecord {
+            plant,
+            kind: scenario.kind,
+            seed: scenario.seed,
+            completed: true,
+            steps: steps.unwrap_or_else(|| (end_hour * SAMPLES_PER_HOUR as f64).round() as u64),
+            fault: None,
+            detection_latency_hours: outcome.detection.run_length(scenario.onset_hour),
+            false_alarms: outcome.false_alarms as u32,
+            verdict: diagnose(monitor, outcome, VerdictThresholds::default()).map(|d| d.verdict),
+            digest: detection_digest(outcome),
+            shutdown_hour,
+            model_generation,
+        }
+    }
+
+    /// The record of a plant that was not scored to a clean end.
+    pub fn failed(plant: u32, kind: ScenarioKind, seed: u64, fault: String) -> Self {
+        PlantRecord {
+            plant,
+            kind,
+            seed,
+            completed: false,
+            steps: 0,
+            fault: Some(fault),
+            detection_latency_hours: None,
+            false_alarms: 0,
+            verdict: None,
+            digest: 0,
+            shutdown_hour: None,
+            model_generation: 0,
+        }
+    }
+
     /// Ground-truth class of this plant's scenario.
     pub fn truth(&self) -> Truth {
         match self.kind {
@@ -56,6 +114,55 @@ impl PlantRecord {
             Truth::Intrusion => Some(v == Verdict::Intrusion),
         }
     }
+}
+
+/// One row per plant, as `temspc fleet` and `temspc ingest serve` print
+/// them (plus an indented `fault:` line for a failed plant).
+impl std::fmt::Display for PlantRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let status = if self.completed { "complete" } else { "failed" };
+        let latency = self
+            .detection_latency_hours
+            .map_or_else(|| "-".to_string(), |h| format!("{:.1} s", h * 3600.0));
+        let verdict = self
+            .verdict
+            .map_or_else(|| "-".to_string(), |v| v.to_string());
+        write!(
+            f,
+            "plant {:>4} [{status}] {} steps, verdict {verdict}, latency {latency}, \
+             digest {:016x}, gen {}",
+            self.plant, self.steps, self.digest, self.model_generation
+        )?;
+        if let Some(fault) = &self.fault {
+            write!(f, "\n  fault: {fault}")?;
+        }
+        Ok(())
+    }
+}
+
+/// A stable 64-bit digest over a scored outcome's detection-relevant
+/// fields: both levels' detection and first-violation hours (bit
+/// patterns, not rounded values) and the false-alarm count.
+///
+/// Two outcomes digest equal iff their detections are bit-identical, so
+/// diffing the digest printed by `temspc ingest serve` against `temspc
+/// replay --digest` of the same tape proves the served scoring path
+/// equals the offline one without shipping whole outcomes around.
+pub fn detection_digest(outcome: &ScenarioOutcome) -> u64 {
+    // FNV-1a: dependency-free and deterministic across platforms.
+    let mut hash = temspc_persist::Fnv1a::new();
+    for event in [&outcome.detection.controller, &outcome.detection.process] {
+        match event {
+            Some(e) => {
+                hash.write(&[1]);
+                hash.write(&e.detected_hour.to_bits().to_be_bytes());
+                hash.write(&e.first_violation_hour.to_bits().to_be_bytes());
+            }
+            None => hash.write(&[0]),
+        }
+    }
+    hash.write(&(outcome.false_alarms as u64).to_be_bytes());
+    hash.finish()
 }
 
 /// Ground-truth class of a scenario.
@@ -91,7 +198,8 @@ pub enum Outcome {
     Inconclusive,
     /// Nothing detected for the whole run.
     Undetected,
-    /// The plant job never completed (restart budget exhausted).
+    /// The plant was not scored to a clean end (see
+    /// [`PlantRecord::fault`]).
     Failed,
 }
 
@@ -172,18 +280,13 @@ impl FleetReport {
         (!lat.is_empty()).then(|| lat.iter().sum::<f64>() / lat.len() as f64)
     }
 
-    /// Plants that exhausted their restart budget.
+    /// Plants that were not scored to a clean end.
     pub fn failed_plants(&self) -> Vec<u32> {
         self.records
             .iter()
             .filter(|r| !r.completed)
             .map(|r| r.plant)
             .collect()
-    }
-
-    /// Total restarts performed across the fleet.
-    pub fn total_restarts(&self) -> u32 {
-        self.records.iter().map(|r| r.restarts).sum()
     }
 }
 
@@ -216,7 +319,6 @@ impl std::fmt::Display for FleetReport {
             .filter(|r| r.shutdown_hour.is_some())
             .count();
         writeln!(f, "interlock trips  : {shutdowns}")?;
-        writeln!(f, "restarts         : {}", self.total_restarts())?;
         let failed = self.failed_plants();
         if !failed.is_empty() {
             writeln!(f, "FAILED plants    : {failed:?}")?;
@@ -235,11 +337,12 @@ mod tests {
             kind,
             seed: 1,
             completed: true,
-            restarts: 0,
+            steps: 2000,
             fault: None,
             detection_latency_hours: verdict.is_some().then_some(0.05),
             false_alarms: 0,
             verdict,
+            digest: 0,
             shutdown_hour: None,
             model_generation: 0,
         }
@@ -279,10 +382,8 @@ mod tests {
     fn failed_plants_show_up() {
         let mut bad = record(5, ScenarioKind::Idv6, None);
         bad.completed = false;
-        bad.restarts = 2;
         let report = FleetReport::new(vec![bad, record(1, ScenarioKind::Normal, None)]);
         assert_eq!(report.failed_plants(), vec![5]);
-        assert_eq!(report.total_restarts(), 2);
         assert_eq!(report.confusion(Truth::Disturbance, Outcome::Failed), 1);
         let text = report.to_string();
         assert!(text.contains("FAILED plants"));

@@ -102,10 +102,10 @@ impl From<io::Error> for DriveError {
 /// connection, and returns the aggregate throughput report.
 ///
 /// Connection `i` replays tape `i % tapes.len()` and identifies itself
-/// as plant `i`, so every served [`ConnectionReport`] maps back to the
-/// tape that produced it.
+/// as plant `i`, so every served [`PlantRecord`] maps back to the tape
+/// that produced it.
 ///
-/// [`ConnectionReport`]: crate::server::ConnectionReport
+/// [`PlantRecord`]: temspc_fleet::PlantRecord
 ///
 /// # Errors
 ///

@@ -9,7 +9,8 @@
 //! and get their closed-loop steps scored by the same T²/SPE path the
 //! offline tools use — detections served off the wire are bit-identical
 //! to an offline replay of the same traffic, and [`detection_digest`]
-//! makes that checkable from the command line.
+//! (re-exported from `temspc-fleet`, next to the per-plant record
+//! builder) makes that checkable from the command line.
 //!
 //! The pieces:
 //!
@@ -19,7 +20,7 @@
 //!   torn-read-safe parsing, hostile-input hardening.
 //! * [`server`] — the event loop + intake pipeline: bounded per-plant
 //!   queues, park/unpark backpressure, batch scoring on the worker
-//!   pool, per-connection reports.
+//!   pool, one [`temspc_fleet::PlantRecord`] per connection.
 //! * [`drive`] — the tape-replay load generator used by the smoke tests
 //!   and the ingestion benchmark.
 //! * [`shutdown`] — SIGINT/SIGTERM to a cooperative stop flag, so serve
@@ -35,12 +36,12 @@ pub mod stream;
 
 pub use drive::{drive, DriveConfig, DriveError, DriveReport};
 pub use poller::Polling;
-pub use server::{
-    detection_digest, load_report, save_report, ConnectionReport, IngestConfig, IngestReport,
-    IngestServer, ModelSource,
-};
+pub use server::{load_report, save_report, IngestConfig, IngestReport, IngestServer, ModelSource};
 pub use shutdown::{install_handlers, stop_flag};
 pub use stream::{
     encode_hello, encode_record, Hello, StreamError, StreamEvent, StreamParser, HELLO_LEN,
     MAX_MESSAGE_LEN, PROTOCOL_VERSION,
 };
+pub use temspc_fleet::detection_digest;
+/// A served connection's outcome is the fleet's per-plant record.
+pub use temspc_fleet::PlantRecord as ConnectionReport;

@@ -49,8 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use temspc::diagnosis::{diagnose, VerdictThresholds};
-use temspc::{AnomalousEvent, DualMspc, ScenarioKind, ScenarioOutcome, StreamScorer, Verdict};
+use temspc::{AnomalousEvent, DualMspc, ScenarioKind, StreamScorer};
 use temspc_fieldbus::{CaptureRecord, ReplayLink, ReplayStep, TapPoint};
 use temspc_fleet::{
     Counter, FleetReport, Gauge, Histogram, MetricsRegistry, ModelStore, PlantKey, PlantRecord,
@@ -101,44 +100,11 @@ impl Default for IngestConfig {
     }
 }
 
-/// Outcome of one plant connection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConnectionReport {
-    /// Plant id from the handshake (`u32::MAX` if none arrived).
-    pub plant: u32,
-    /// Scenario kind the handshake declared.
-    pub kind: ScenarioKind,
-    /// Scenario seed the handshake declared.
-    pub seed: u64,
-    /// Whether the stream was scored to a clean end.
-    pub completed: bool,
-    /// Closed-loop steps scored.
-    pub steps: u64,
-    /// Wire frames received.
-    pub frames: u64,
-    /// Alarms raised before the anomaly onset.
-    pub false_alarms: u32,
-    /// Hours from onset to first detection, if detected.
-    pub detection_latency_hours: Option<f64>,
-    /// Disturbance-vs-intrusion verdict, if diagnosable.
-    pub verdict: Option<Verdict>,
-    /// Detection digest ([`detection_digest`]) for bit-identity diffs
-    /// against offline replay (0 when not scored).
-    pub digest: u64,
-    /// Generation of the store entry whose model scored this connection
-    /// (0 on the shared-monitor path, or when never scored). Pinned at
-    /// handshake resolution, so a hot reload mid-stream does not change
-    /// the model under a live scorer.
-    pub model_generation: u64,
-    /// Failure description for incomplete streams.
-    pub fault: Option<String>,
-}
-
 /// Aggregate outcome of one serving session.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct IngestReport {
     /// Per-connection outcomes, sorted by plant id.
-    pub connections: Vec<ConnectionReport>,
+    pub connections: Vec<PlantRecord>,
     /// Total wire frames received.
     pub frames: u64,
     /// Total closed-loop steps scored.
@@ -153,28 +119,10 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// The session reframed as a fleet report: one [`PlantRecord`] per
-    /// connection, so the existing confusion-matrix and latency
-    /// aggregation applies to served traffic unchanged.
+    /// The session as a fleet report, so the confusion-matrix and
+    /// latency aggregation applies to served traffic unchanged.
     pub fn fleet_report(&self) -> FleetReport {
-        let records = self
-            .connections
-            .iter()
-            .map(|c| PlantRecord {
-                plant: c.plant,
-                kind: c.kind,
-                seed: c.seed,
-                completed: c.completed,
-                restarts: 0,
-                fault: c.fault.clone(),
-                detection_latency_hours: c.detection_latency_hours,
-                false_alarms: c.false_alarms,
-                verdict: c.verdict,
-                shutdown_hour: None,
-                model_generation: c.model_generation,
-            })
-            .collect();
-        FleetReport::new(records)
+        FleetReport::new(self.connections.clone())
     }
 }
 
@@ -188,31 +136,6 @@ pub fn save_report(report: &IngestReport, path: impl AsRef<Path>) -> Result<(), 
 /// Loads a report saved with [`save_report`]; fails with [`FileError`].
 pub fn load_report(path: impl AsRef<Path>) -> Result<IngestReport, FileError> {
     Ok(temspc_persist::load(path, FileKind::IngestReport)?.0)
-}
-
-/// A stable 64-bit digest over a scored outcome's detection-relevant
-/// fields: both levels' detection and first-violation hours (bit
-/// patterns, not rounded values) and the false-alarm count.
-///
-/// Two outcomes digest equal iff their detections are bit-identical, so
-/// diffing the digest printed by `temspc ingest serve` against `temspc
-/// replay --digest` of the same tape proves the served scoring path
-/// equals the offline one without shipping whole outcomes around.
-pub fn detection_digest(outcome: &ScenarioOutcome) -> u64 {
-    // FNV-1a: dependency-free and deterministic across platforms.
-    let mut hash = temspc_persist::Fnv1a::new();
-    for event in [&outcome.detection.controller, &outcome.detection.process] {
-        match event {
-            Some(e) => {
-                hash.write(&[1]);
-                hash.write(&e.detected_hour.to_bits().to_be_bytes());
-                hash.write(&e.first_violation_hour.to_bits().to_be_bytes());
-            }
-            None => hash.write(&[0]),
-        }
-    }
-    hash.write(&(outcome.false_alarms as u64).to_be_bytes());
-    hash.finish()
 }
 
 /// Poison-tolerant lock (same rationale as the worker pool: all guarded
@@ -378,7 +301,6 @@ struct ConnState {
     /// Enqueue instant of the oldest undrained step (queue-latency
     /// observation point).
     oldest: Option<Instant>,
-    frames: u64,
     /// No more steps will arrive (EOF, error, or server shutdown).
     eof: bool,
     fault: Option<String>,
@@ -537,7 +459,7 @@ impl<'m> IngestServer<'m> {
         };
         let pin = ModelPin::default();
         let intake = IntakeQueue::default();
-        let reports: Mutex<Vec<ConnectionReport>> = Mutex::new(Vec::new());
+        let reports: Mutex<Vec<PlantRecord>> = Mutex::new(Vec::new());
         let drained = AtomicBool::new(false);
         let finished = AtomicUsize::new(0);
 
@@ -900,7 +822,6 @@ fn drain_parser<P: Polling>(
                 metrics.steps_total.inc();
                 let depth = {
                     let mut state = lock(&conn.shared.state);
-                    state.frames += 4;
                     if state.steps.len() >= queue_depth.saturating_mul(8).max(8) {
                         // Hard-cap backstop; unreachable under parking.
                         metrics.dropped_steps_total.inc();
@@ -990,7 +911,7 @@ fn intake_loop<'p>(
     batch_steps: usize,
     intake: &IntakeQueue,
     drained: &AtomicBool,
-    reports: &Mutex<Vec<ConnectionReport>>,
+    reports: &Mutex<Vec<PlantRecord>>,
     metrics: &IngestMetrics,
     finished: &AtomicUsize,
 ) {
@@ -1154,46 +1075,38 @@ fn intake_loop<'p>(
             .collect();
         for token in finished_tokens {
             let mut entry = active.remove(&token).expect("token just listed");
-            let (hello, fault, frames) = {
+            let (hello, fault) = {
                 let state = lock(&entry.shared.state);
-                (state.hello.clone(), state.fault.clone(), state.frames)
+                (state.hello.clone(), state.fault.clone())
             };
             let fault = entry.fault.take().or(fault);
-            let (plant, kind, seed) = hello
-                .as_ref()
-                .map(|h| (h.plant, h.scenario.kind, h.scenario.seed))
-                .unwrap_or((u32::MAX, ScenarioKind::Normal, 0));
-            let mut report = ConnectionReport {
-                plant,
-                kind,
-                seed,
-                completed: false,
-                steps: entry.steps,
-                frames,
-                false_alarms: 0,
-                detection_latency_hours: None,
-                verdict: None,
-                digest: 0,
-                model_generation: entry.generation,
-                fault: None,
-            };
-            match (hello, entry.scorer.take(), fault) {
+            let report = match (hello, entry.scorer.take(), fault) {
                 (Some(hello), Some(scorer), None) => {
                     let monitor = entry.monitor.expect("a live scorer has its monitor");
-                    let onset = hello.scenario.onset_hour;
+                    let steps = scorer.steps() as u64;
                     let outcome = scorer.finish(hello.scenario, None);
-                    report.completed = true;
-                    report.false_alarms = outcome.false_alarms as u32;
-                    report.detection_latency_hours = outcome.detection.run_length(onset);
-                    report.verdict = diagnose(monitor, &outcome, VerdictThresholds::default())
-                        .map(|d| d.verdict);
-                    report.digest = detection_digest(&outcome);
+                    PlantRecord::scored(
+                        hello.plant,
+                        monitor,
+                        &outcome,
+                        Some(steps),
+                        entry.generation,
+                    )
                 }
-                (_, _, fault) => {
-                    report.fault =
-                        fault.or_else(|| Some("connection closed before any complete step".into()));
+                (hello, _, fault) => {
+                    let (plant, kind, seed) = hello
+                        .map_or((u32::MAX, ScenarioKind::Normal, 0), |h| {
+                            (h.plant, h.scenario.kind, h.scenario.seed)
+                        });
+                    let fault = fault
+                        .unwrap_or_else(|| "connection closed before any complete step".into());
+                    PlantRecord {
+                        steps: entry.steps,
+                        model_generation: entry.generation,
+                        ..PlantRecord::failed(plant, kind, seed, fault)
+                    }
                 }
-            }
+            };
             if let Some(sink) = incidents {
                 match &report.fault {
                     None => sink.emit(&format!(

@@ -1,8 +1,8 @@
 //! Integration tests of the fleet engine: thread-count determinism,
-//! supervised restarts, and checkpoint/resume equivalence.
+//! per-plant panic isolation, and checkpoint/resume equivalence.
 
 use temspc::{CalibrationConfig, DualMspc};
-use temspc_fleet::{FleetConfig, FleetEngine, PlantSource, SupervisionPolicy};
+use temspc_fleet::{FleetConfig, FleetEngine, PlantSource};
 
 fn quick_monitor() -> DualMspc {
     DualMspc::calibrate(&CalibrationConfig {
@@ -23,7 +23,6 @@ fn fleet_config(threads: usize) -> FleetConfig {
         onset_hour: 0.3,
         attack_fraction: 0.375,
         fleet_seed: 4242,
-        supervision: SupervisionPolicy::default(),
         checkpoint_every: 0,
         inject_panic_plants: Vec::new(),
         source: PlantSource::Live,
@@ -50,6 +49,40 @@ fn verdicts_identical_across_thread_counts() {
     }
 }
 
+/// A panicking plant fails alone: its record carries the panic as its
+/// fault, the failure is counted, and the other plants still complete.
+#[test]
+fn hopeless_plant_degrades_gracefully() {
+    let monitor = quick_monitor();
+    let mut config = fleet_config(2);
+    config.plants = 3;
+    config.inject_panic_plants = vec![1];
+    let engine = FleetEngine::new(&monitor, config);
+    let report = engine.run().unwrap();
+
+    assert_eq!(report.records.len(), 3);
+    assert_eq!(report.failed_plants(), vec![1]);
+    assert!(!report.records[1].completed);
+    assert!(
+        report.records[1]
+            .fault
+            .as_deref()
+            .is_some_and(|f| f.contains("injected panic")),
+        "fault: {:?}",
+        report.records[1].fault
+    );
+    assert!(engine
+        .metrics()
+        .expose()
+        .contains("fleet_plants_failed_total 1"));
+    assert!(report.records[0].completed);
+    assert!(report.records[2].completed);
+}
+
+/// A panic in one worker is reported on that plant's record and leaves
+/// every other record exactly as an uninjected fleet produces it. The
+/// name predates the removal of restarts: the panicking plant now fails
+/// on its only run.
 #[test]
 fn panicking_worker_is_restarted_and_reported() {
     let monitor = quick_monitor();
@@ -59,54 +92,29 @@ fn panicking_worker_is_restarted_and_reported() {
     let engine = FleetEngine::new(&monitor, config.clone());
     let report = engine.run().unwrap();
 
-    // The fleet completed despite the panic ...
     assert_eq!(report.records.len(), 4);
-    assert!(report.failed_plants().is_empty());
-    // ... the panicking plant was restarted exactly once and the panic
-    // captured ...
+    assert_eq!(report.failed_plants(), vec![2]);
     let victim = &report.records[2];
     assert_eq!(victim.plant, 2);
-    assert!(victim.completed);
-    assert_eq!(victim.restarts, 1);
-    assert!(victim.fault.as_deref().unwrap().contains("injected panic"));
-    // ... and the restart replayed the same seed, so the outcome matches
-    // an uninjected fleet exactly (apart from the supervision fields).
-    let mut clean_config = config;
-    clean_config.inject_panic_plants = Vec::new();
-    let clean = FleetEngine::new(&monitor, clean_config).run().unwrap();
-    assert_eq!(victim.verdict, clean.records[2].verdict);
-    assert_eq!(
-        victim.detection_latency_hours,
-        clean.records[2].detection_latency_hours
+    assert!(!victim.completed);
+    assert!(
+        victim
+            .fault
+            .as_deref()
+            .is_some_and(|f| f.contains("injected panic")),
+        "fault: {:?}",
+        victim.fault
     );
-    // Everyone else is untouched.
-    for i in [0usize, 1, 3] {
-        assert_eq!(report.records[i], clean.records[i]);
-    }
-    // The restart shows up in the metrics exposition.
     assert!(engine
         .metrics()
         .expose()
-        .contains("fleet_worker_restarts_total 1"));
-}
+        .contains("fleet_plants_failed_total 1"));
 
-#[test]
-fn hopeless_plant_degrades_gracefully() {
-    let monitor = quick_monitor();
-    let mut config = fleet_config(2);
-    config.plants = 3;
-    config.supervision = SupervisionPolicy { max_restarts: 0 };
-    config.inject_panic_plants = vec![1];
-    // max_restarts = 0 → the injected panic exhausts the budget; with the
-    // chaos hook disarmed only after the first attempt, attempt #1 panics
-    // and there is no attempt #2.
-    let report = FleetEngine::new(&monitor, config).run().unwrap();
-    assert_eq!(report.records.len(), 3);
-    assert_eq!(report.failed_plants(), vec![1]);
-    assert!(!report.records[1].completed);
-    // The other plants still produced their records.
-    assert!(report.records[0].completed);
-    assert!(report.records[2].completed);
+    config.inject_panic_plants = Vec::new();
+    let clean = FleetEngine::new(&monitor, config).run().unwrap();
+    for i in [0usize, 1, 3] {
+        assert_eq!(report.records[i], clean.records[i]);
+    }
 }
 
 #[test]

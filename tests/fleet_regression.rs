@@ -13,7 +13,7 @@
 //! `TEMSPC_PRINT_GOLDEN=1 cargo test -p temspc-fleet --test fleet_regression -- --nocapture`
 
 use temspc::{CalibrationConfig, DualMspc, Verdict};
-use temspc_fleet::{FleetConfig, FleetEngine, FleetReport, PlantSource, SupervisionPolicy};
+use temspc_fleet::{FleetConfig, FleetEngine, FleetReport, PlantSource};
 
 fn monitor() -> DualMspc {
     DualMspc::calibrate(&CalibrationConfig {
@@ -34,7 +34,6 @@ fn config() -> FleetConfig {
         onset_hour: 0.3,
         attack_fraction: 0.5,
         fleet_seed: 4242,
-        supervision: SupervisionPolicy::default(),
         checkpoint_every: 0,
         inject_panic_plants: Vec::new(),
         source: PlantSource::Live,

@@ -7,10 +7,12 @@ use std::time::{Duration, Instant};
 
 use temspc::persistence::{load_monitor, FileError};
 use temspc::{capture_scenario, CalibrationConfig, DualMspc, Scenario, ScenarioKind};
-use temspc_fleet::{ModelStore, PlantKey, StoreConfig};
+use temspc_fleet::{
+    record_fleet_captures, FleetConfig, FleetEngine, ModelStore, PlantKey, PlantRecord, StoreConfig,
+};
 use temspc_ingest::{
-    detection_digest, drive, load_report, save_report, ConnectionReport, DriveConfig, IngestConfig,
-    IngestReport, IngestServer,
+    detection_digest, drive, load_report, save_report, DriveConfig, IngestConfig, IngestReport,
+    IngestServer,
 };
 
 /// Raises the server's stop flag when dropped. Declared first inside
@@ -731,17 +733,17 @@ fn store_entry_loads_directly_as_a_model() {
 #[test]
 fn corrupt_report_files_fail_with_typed_errors() {
     let root = test_root("report_matrix");
-    let connection = ConnectionReport {
+    let connection = PlantRecord {
         plant: 4,
         kind: ScenarioKind::IntegrityXmv3,
         seed: 99,
         completed: true,
         steps: 1200,
-        frames: 4800,
         false_alarms: 1,
         detection_latency_hours: Some(0.05),
         verdict: None,
         digest: 0x0123_4567_89ab_cdef,
+        shutdown_hour: None,
         model_generation: 3,
         fault: None,
     };
@@ -794,5 +796,111 @@ fn corrupt_report_files_fail_with_typed_errors() {
     ));
     std::fs::write(&path, &valid).unwrap();
     assert_eq!(load_report(&path).unwrap(), report);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// NaN telemetry fails loudly: an integrity-XMV(3) tape whose frame
+/// values are all NaN from hour 0.05 on would blind the detector (every
+/// comparison against NaN is false, so nothing ever alarms). The frame
+/// decode rejects it instead: the connection fails with a fault naming
+/// the non-finite value, and the reassembly-error counter says so.
+#[test]
+fn nan_telemetry_fails_the_connection_loudly() {
+    let root = test_root("nan");
+    let monitor = DualMspc::calibrate(&quick_calibration(100)).unwrap();
+    let scenario = Scenario::short(ScenarioKind::IntegrityXmv3, 0.2, 0.1, 42);
+    let mut capture = capture_scenario(&scenario).unwrap();
+    for record in capture.records.iter_mut().filter(|r| r.hour >= 0.05) {
+        let mut frame = temspc_fieldbus::Frame::decode(&record.wire).unwrap();
+        frame.values.fill(f64::NAN);
+        record.wire = frame.encode().unwrap().to_vec();
+    }
+    let tape = root.join("nan.cap");
+    temspc::persistence::save_capture(&capture, &tape).unwrap();
+
+    let server = IngestServer::bind(
+        &monitor,
+        IngestConfig {
+            expect: Some(1),
+            ..IngestConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = AtomicBool::new(false);
+    let report = std::thread::scope(|scope| {
+        let _stop_on_drop = StopOnDrop(&stop);
+        let serve = scope.spawn(|| server.run(&stop));
+        // The server may close the socket on the first NaN frame, so the
+        // tail of the drive can fail with a reset; only the report counts.
+        let _ = drive(&DriveConfig {
+            addr,
+            tapes: vec![tape],
+            connections: 1,
+            rate: 0.0,
+            chunk: 0,
+        });
+        serve.join().expect("server thread panicked").unwrap()
+    });
+
+    assert_eq!(report.connections.len(), 1);
+    let conn = &report.connections[0];
+    assert!(!conn.completed, "NaN stream scored as complete");
+    assert!(
+        conn.fault
+            .as_deref()
+            .is_some_and(|f| f.contains("non-finite value")),
+        "fault: {:?}",
+        conn.fault
+    );
+    assert_eq!(report.reassembly_errors, 1);
+    let expose = server.metrics().expose();
+    assert!(
+        expose.contains("ingest_reassembly_errors_total 1"),
+        "reassembly-error count drifted:\n{expose}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One record type across front ends: a small fleet recorded with
+/// `record_fleet_captures` and served over loopback (connection `i` is
+/// plant `i`) yields, plant for plant, the live `FleetEngine` record —
+/// every field, `steps` and `digest` included, except the shutdown hour,
+/// which the wire does not carry. Served == replayed == live.
+#[test]
+fn served_fleet_tapes_reproduce_the_live_fleet_records() {
+    let root = test_root("cross_path");
+    let monitor = DualMspc::calibrate(&quick_calibration(100)).unwrap();
+    let config = FleetConfig {
+        plants: 6,
+        threads: 2,
+        hours: 1.0,
+        onset_hour: 0.3,
+        attack_fraction: 0.5,
+        fleet_seed: 4242,
+        checkpoint_every: 0,
+        ..FleetConfig::default()
+    };
+    record_fleet_captures(&config, &root).unwrap();
+    let tapes: Vec<_> = (0..config.plants)
+        .map(|i| root.join(format!("plant_{i}.cap")))
+        .collect();
+
+    let live = FleetEngine::new(&monitor, config.clone()).run().unwrap();
+    let served = serve_and_drive(ServeModel::Shared(&monitor), config.plants, &tapes, None);
+
+    // The fleet includes an interlock trip, so the step count derived
+    // from the shutdown hour is checked against the served count too.
+    assert!(live.records.iter().any(|r| r.shutdown_hour.is_some()));
+    assert_eq!(served.connections.len(), live.records.len());
+    for (served, live) in served.connections.iter().zip(&live.records) {
+        assert!(live.completed, "plant {}: {:?}", live.plant, live.fault);
+        assert_eq!(served.shutdown_hour, None);
+        let served = PlantRecord {
+            shutdown_hour: live.shutdown_hour,
+            ..served.clone()
+        };
+        assert_eq!(&served, live);
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

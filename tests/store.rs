@@ -17,7 +17,7 @@ use temspc::persistence::{
 use temspc::{CalibrationConfig, DualMspc, NetworkMonitor, Scenario, ScenarioKind};
 use temspc_fleet::{
     checkpoint, CheckpointError, FleetCheckpoint, FleetConfig, FleetEngine, ModelStore, PlantKey,
-    PlantSource, StoreConfig, StoreError, SupervisionPolicy,
+    PlantSource, StoreConfig, StoreError,
 };
 use temspc_persist::HEADER_LEN;
 
@@ -43,7 +43,6 @@ fn fleet_config(plants: usize, cohorts: usize) -> FleetConfig {
         onset_hour: 0.2,
         attack_fraction: 0.5,
         fleet_seed: 4242,
-        supervision: SupervisionPolicy::default(),
         checkpoint_every: 0,
         inject_panic_plants: Vec::new(),
         source: PlantSource::Live,
