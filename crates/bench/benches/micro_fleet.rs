@@ -31,7 +31,7 @@ fn fleet_config(plants: usize, threads: usize) -> FleetConfig {
     }
 }
 
-fn bench_fleet(c: &mut Criterion) {
+fn bench_campaigns(c: &mut Criterion) {
     let monitor = quick_monitor();
     let mut group = c.benchmark_group("micro_fleet");
     group.sample_size(10);
@@ -74,5 +74,5 @@ fn bench_fleet(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fleet);
+criterion_group!(benches, bench_campaigns);
 criterion_main!(benches);

@@ -5,10 +5,6 @@
 //! `examples/paper_experiments.rs`); the `micro_*` benches time the hot
 //! kernels (plant step, control scan, MSPC scoring, oMEDA, frame codec).
 
-pub mod ingest_sweep;
-pub mod sweep;
-pub mod trajectory;
-
 use temspc::experiments::ExperimentContext;
 use temspc::{CalibrationConfig, DualMspc, MonitorConfig};
 
@@ -26,14 +22,12 @@ pub fn bench_context(results_dir: &str) -> ExperimentContext {
         MonitorConfig::default(),
     )
     .expect("bench calibration");
-    let mut ctx = ExperimentContext {
+    ExperimentContext {
         results_dir: std::env::temp_dir().join(results_dir),
         scenario_runs: 1,
         duration_hours: 1.2,
         onset_hour: 0.5,
         base_seed: 42,
         monitor,
-    };
-    ctx.scenario_runs = 1;
-    ctx
+    }
 }

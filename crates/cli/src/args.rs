@@ -2,7 +2,8 @@
 //!
 //! Supports `--key value`, `--key=value` and boolean `--flag` options
 //! after a positional subcommand, with typed accessors and precise error
-//! messages.
+//! messages. The options each subcommand accepts are the ones its block
+//! of the usage text names; any other option is an error.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,6 +36,8 @@ pub enum ArgsError {
     UnexpectedPositional(String),
     /// A required option was absent.
     Required(String),
+    /// An option that the subcommand's usage block does not name.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgsError {
@@ -46,6 +49,7 @@ impl fmt::Display for ArgsError {
             }
             ArgsError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
             ArgsError::Required(o) => write!(f, "missing required option --{o}"),
+            ArgsError::UnknownOption(o) => write!(f, "unknown option --{o}"),
         }
     }
 }
@@ -53,7 +57,54 @@ impl fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// Option names that do not take a value.
-const BOOLEAN_FLAGS: &[&str] = &["no-noise", "verbose", "resume", "dry-run", "digest"];
+const BOOLEAN_FLAGS: &[&str] = &["no-noise", "resume", "digest"];
+
+/// One `temspc <subcommand> [actions]` block of a usage text: the
+/// actions it covers (`list|calibrate|evict`; none for a plain
+/// subcommand) and every `--option` it names.
+#[derive(Debug)]
+pub struct UsageBlock<'a> {
+    /// The subcommand word.
+    pub subcommand: &'a str,
+    /// The actions the block covers; empty when it takes none.
+    pub actions: Vec<&'a str>,
+    /// The option names, without the leading `--`.
+    pub options: Vec<&'a str>,
+}
+
+/// Splits the `USAGE:` section of a usage text into its command blocks.
+/// A block starts at a `temspc <subcommand>` line and takes in the
+/// indented lines below it; the section ends at its first blank line.
+pub fn usage_blocks(usage: &str) -> Vec<UsageBlock<'_>> {
+    let mut blocks: Vec<UsageBlock<'_>> = Vec::new();
+    let section = usage
+        .lines()
+        .skip_while(|line| line.trim() != "USAGE:")
+        .skip(1)
+        .take_while(|line| !line.trim().is_empty());
+    for line in section {
+        if let Some(rest) = line.trim().strip_prefix("temspc ") {
+            let mut words = rest.split_whitespace();
+            blocks.push(UsageBlock {
+                subcommand: words.next().unwrap_or_default(),
+                actions: words
+                    .next()
+                    .filter(|w| !w.starts_with(['[', '-']))
+                    .map_or_else(Vec::new, |w| w.split('|').collect()),
+                options: Vec::new(),
+            });
+        }
+        if let Some(block) = blocks.last_mut() {
+            block.options.extend(line.split("--").skip(1).map(|tail| {
+                let end = tail
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(tail.len());
+                &tail[..end]
+            }));
+        }
+    }
+    blocks
+}
 
 impl ParsedArgs {
     /// Parses a raw argument list (without the program name).
@@ -140,6 +191,38 @@ impl ParsedArgs {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Checks every given option against the usage block(s) of this
+    /// subcommand and action; no subcommand means `help`. A command line
+    /// that matches no block passes, so that dispatch can name the
+    /// unknown subcommand or action instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError::UnknownOption`] for the first option that no
+    /// matching block names.
+    pub fn reject_unknown(&self, usage: &str) -> Result<(), ArgsError> {
+        let subcommand = self.subcommand().unwrap_or("help");
+        let blocks: Vec<UsageBlock<'_>> = usage_blocks(usage)
+            .into_iter()
+            .filter(|b| b.subcommand == subcommand)
+            .filter(|b| {
+                b.actions.is_empty() || self.action().is_none_or(|a| b.actions.contains(&a))
+            })
+            .collect();
+        if blocks.is_empty() {
+            return Ok(());
+        }
+        match self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .find(|given| !blocks.iter().any(|b| b.options.contains(&given.as_str())))
+        {
+            Some(unknown) => Err(ArgsError::UnknownOption(unknown.clone())),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +275,49 @@ mod tests {
         assert_eq!(
             a.require("out").unwrap_err(),
             ArgsError::Required("out".into())
+        );
+    }
+
+    #[test]
+    fn usage_blocks_allow_only_the_options_they_name() {
+        let usage = r"demo
+
+USAGE:
+  temspc run   [--hours 4] [--no-noise]
+               --out x [--seed-stride 1]
+  temspc store list|evict --dir d
+  temspc help
+
+NOTES: --hidden is prose, not a flag
+";
+        let blocks = usage_blocks(usage);
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(
+            blocks[0].options,
+            ["hours", "no-noise", "out", "seed-stride"]
+        );
+        assert_eq!(blocks[1].actions, ["list", "evict"]);
+        let parsed = |tokens: &[&str]| ParsedArgs::parse(tokens.iter().copied()).unwrap();
+        assert_eq!(
+            parsed(&["run", "--out=o", "--no-noise"]).reject_unknown(usage),
+            Ok(())
+        );
+        assert_eq!(
+            parsed(&["run", "--hidden", "1"]).reject_unknown(usage),
+            Err(ArgsError::UnknownOption("hidden".into()))
+        );
+        assert_eq!(
+            parsed(&["store", "evict", "--dir", "d"]).reject_unknown(usage),
+            Ok(())
+        );
+        assert!(parsed(&["store", "--seed", "1"])
+            .reject_unknown(usage)
+            .is_err());
+        assert!(parsed(&["--hours", "1"]).reject_unknown(usage).is_err());
+        // No block matches: dispatch reports the unknown action itself.
+        assert_eq!(
+            parsed(&["store", "prune", "--x", "1"]).reject_unknown(usage),
+            Ok(())
         );
     }
 

@@ -18,7 +18,7 @@ USAGE:
   temspc simulate  [--hours 4] [--idv 0] [--attack none|xmv3|xmeas1|dos]
                    [--onset <h>] [--seed 1] [--csv run.csv] [--no-noise]
   temspc calibrate [--runs 4] [--hours 2] [--threads 0] --out model.tpb
-                   [--net-out net.tpb]
+                   [--seed 1000] [--net-out net.tpb]
   temspc detect    --model model.tpb [--net net.tpb] [--scenario idv6]
                    [--hours 4] [--onset 1] [--seed 42]
   temspc capture   --out run.cap [--scenario idv6] [--hours 4] [--onset 1]
@@ -34,7 +34,8 @@ USAGE:
                    [--record-captures dir | --replay dir]
   temspc ingest    serve [--model model.tpb |
                     --model-store dir [--cohorts 2] [--store-capacity 4]
-                    [--seed-stride 1000000]]
+                    [--seed-stride 1000000]
+                    [--calib-runs 4] [--calib-hours 2] [--calib-seed 1000]]
                    [--addr 127.0.0.1:4840]
                    [--max-connections 1024] [--queue-depth 256]
                    [--batch-steps 512] [--threads 0] [--expect <n>]
@@ -46,10 +47,7 @@ USAGE:
   temspc store     list|calibrate|evict --dir models
                    [--key cohort_0 | --cohorts 2]
                    [--calib-runs 4] [--calib-hours 2] [--calib-seed 1000]
-  temspc bench     sweep|smoke [--plants 4,8,16] [--threads 1,2,4]
-                   [--hours 0.25] [--samples 3] [--label <label>]
-                   [--trajectory BENCH_fleet.json] [--dry-run]
-                   [--min-speedup 1.3] [--smoke-plants 8]
+                   [--threads 0] [--store-capacity 4] [--seed-stride 1000000]
   temspc experiments [--mode quick|paper] [--out results]
   temspc list
   temspc help
@@ -80,12 +78,8 @@ as a load generator. Served detections are bit-identical to offline
 replay: diff the digest `serve` prints against `replay --digest` of the
 same tape. `fleet` and `serve` both drain and checkpoint on Ctrl-C.
 
-BENCH: `bench sweep` times fleet campaigns over a threads x plants grid
-on the persistent worker pool, prints the speedup/efficiency table, and
-folds the medians into a temspc-bench/1 trajectory file (labels carry
-the machine's available_parallelism). `bench smoke` is the CI scaling
-gate: 2 threads vs 1 thread at one fleet size, asserting speedup >=
---min-speedup; it skips with a notice on single-core runners."#;
+Each subcommand accepts exactly the options its USAGE lines name; any
+other option is an error (exit status 2)."#;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -831,100 +825,6 @@ fn ingest_drive(args: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
-/// `temspc bench` — the parallel-efficiency sweep (`sweep`, default) or
-/// the CI scaling gate (`smoke`).
-pub fn bench(args: &ParsedArgs) -> CmdResult {
-    use temspc_bench::sweep::{run_sweep, SweepConfig};
-    use temspc_bench::trajectory::{fold_into_trajectory, Run};
-
-    fn parse_list(text: &str) -> Result<Vec<usize>, String> {
-        text.split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad list element '{p}' (expected e.g. 1,2,4)"))
-            })
-            .collect()
-    }
-
-    let mut config = SweepConfig {
-        hours: args.get_parsed("hours", 0.25)?,
-        samples: args.get_parsed("samples", 3)?,
-        fleet_seed: args.get_parsed("seed", 7)?,
-        ..SweepConfig::default()
-    };
-    if let Some(plants) = args.get("plants") {
-        config.plants = parse_list(plants)?;
-    }
-    if let Some(threads) = args.get("threads") {
-        config.threads = parse_list(threads)?;
-    }
-    let ap = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    match args.action().unwrap_or("sweep") {
-        "sweep" => {
-            let report = run_sweep(&config);
-            print!("{}", report.table());
-            let label = args
-                .get("label")
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("sweep@ap{ap}"));
-            let label = if label.contains("@ap") {
-                label
-            } else {
-                format!("{label}@ap{ap}")
-            };
-            fold_into_trajectory(
-                args.get_or("trajectory", "BENCH_fleet.json"),
-                Run {
-                    label,
-                    results: report.to_results(),
-                },
-                args.flag("dry-run"),
-            )?;
-        }
-        "smoke" => {
-            let min_speedup: f64 = args.get_parsed("min-speedup", 1.3)?;
-            let plants: usize = args.get_parsed("smoke-plants", 8)?;
-            if ap < 2 {
-                println!(
-                    "bench smoke: SKIPPED — available_parallelism={ap} < 2; a 2-thread vs \
-                     1-thread comparison cannot show scaling on this runner"
-                );
-                return Ok(());
-            }
-            let report = run_sweep(&SweepConfig {
-                plants: vec![plants],
-                threads: vec![1, 2],
-                ..config
-            });
-            print!("{}", report.table());
-            let cell = report
-                .cell(2, plants)
-                .ok_or("smoke sweep produced no 2-thread cell")?;
-            if cell.speedup < min_speedup {
-                return Err(format!(
-                    "scaling regression: 2-thread speedup {:.2}x < {min_speedup:.2}x at \
-                     {plants} plants (available_parallelism={ap})",
-                    cell.speedup
-                )
-                .into());
-            }
-            println!(
-                "bench smoke: OK — 2-thread speedup {:.2}x >= {min_speedup:.2}x at {plants} \
-                 plants (available_parallelism={ap})",
-                cell.speedup
-            );
-        }
-        other => {
-            return Err(format!("unknown bench action '{other}' (expected sweep or smoke)").into())
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,6 +964,46 @@ mod tests {
     }
 
     #[test]
+    fn misspelled_flags_are_rejected() {
+        for (tokens, typo) in [
+            (
+                &["calibrate", "--runs", "1", "--out", "m.tpb", "--hourz", "9"][..],
+                "hourz",
+            ),
+            (&["ingest", "serve", "--modle", "m.tpb"][..], "modle"),
+            (&["list", "--bogus-flag", "3"][..], "bogus-flag"),
+            (&["fleet", "--modle", "m.tpb", "--plants", "2"][..], "modle"),
+        ] {
+            assert_eq!(
+                parse(tokens).reject_unknown(USAGE),
+                Err(crate::args::ArgsError::UnknownOption(typo.into())),
+                "{tokens:?}"
+            );
+        }
+        // A flag of one ingest action is unknown to the other.
+        let args = parse(&["ingest", "serve", "--tapes", "a.cap"]);
+        assert!(args.reject_unknown(USAGE).is_err());
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_own_subcommand() {
+        let blocks = crate::args::usage_blocks(USAGE);
+        assert!(blocks.len() >= 11, "USAGE blocks not found: {blocks:?}");
+        for block in &blocks {
+            let action = block.actions.first().copied();
+            for option in &block.options {
+                let given = format!("--{option}=1");
+                let tokens: Vec<&str> = [block.subcommand]
+                    .into_iter()
+                    .chain(action)
+                    .chain([given.as_str()])
+                    .collect();
+                assert_eq!(parse(&tokens).reject_unknown(USAGE), Ok(()), "{tokens:?}");
+            }
+        }
+    }
+
+    #[test]
     fn usage_mentions_every_subcommand_dispatched() {
         // Help-text drift gate: every subcommand the binary dispatches
         // must appear in USAGE, including the ingest family.
@@ -1076,7 +1016,6 @@ mod tests {
             "fleet",
             "ingest",
             "store",
-            "bench",
             "experiments",
             "list",
         ] {

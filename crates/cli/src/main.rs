@@ -13,7 +13,6 @@
 //! temspc ingest    serve --model model.tpb --addr 127.0.0.1:4840 [--expect n] [--report s.tpb]
 //! temspc ingest    drive --addr 127.0.0.1:4840 --tapes a.cap,b.cap --connections 64
 //! temspc store     list|calibrate|evict --dir models/ [--key cohort_0]
-//! temspc bench     sweep|smoke --plants 4,8,16 --threads 1,2,4 [--trajectory BENCH_fleet.json]
 //! temspc experiments --mode quick|paper --out results/
 //! temspc list
 //! ```
@@ -26,7 +25,9 @@ mod commands;
 use args::ParsedArgs;
 
 fn main() {
-    let parsed = match ParsedArgs::parse(std::env::args().skip(1)) {
+    let parsed = ParsedArgs::parse(std::env::args().skip(1))
+        .and_then(|p| p.reject_unknown(commands::USAGE).map(|()| p));
+    let parsed = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -43,7 +44,6 @@ fn main() {
         Some("fleet") => commands::fleet(&parsed),
         Some("ingest") => commands::ingest(&parsed),
         Some("store") => commands::store(&parsed),
-        Some("bench") => commands::bench(&parsed),
         Some("experiments") => commands::experiments(&parsed),
         Some("list") => commands::list(),
         Some("help") | None => {

@@ -280,7 +280,8 @@ enum ServeModel<'a> {
 }
 
 /// Binds a server over the given model source, floods it with
-/// `connections` tape replays, and returns the session report.
+/// `connections` tape replays, checks that nothing was dropped or torn,
+/// and returns the session report.
 fn serve_and_drive(
     model: ServeModel<'_>,
     connections: usize,
@@ -311,7 +312,10 @@ fn serve_and_drive(
             chunk: 0,
         })
         .unwrap();
-        serve.join().expect("server thread panicked").unwrap()
+        let report = serve.join().expect("server thread panicked").unwrap();
+        assert_eq!(report.drops, 0, "backpressure must prevent drops");
+        assert_eq!(report.reassembly_errors, 0);
+        report
     })
 }
 
