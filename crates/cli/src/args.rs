@@ -16,6 +16,8 @@ pub struct ParsedArgs {
     action: Option<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// A last option that takes a value but was given none.
+    dangling: Option<String>,
 }
 
 /// Argument-parsing errors.
@@ -57,7 +59,7 @@ impl fmt::Display for ArgsError {
 impl std::error::Error for ArgsError {}
 
 /// Option names that do not take a value.
-const BOOLEAN_FLAGS: &[&str] = &["no-noise", "resume", "digest"];
+const BOOLEAN_FLAGS: &[&str] = &["no-noise", "resume", "digest", "help"];
 
 /// One `temspc <subcommand> [actions]` block of a usage text: the
 /// actions it covers (`list|calibrate|evict`; none for a plain
@@ -107,12 +109,46 @@ pub fn usage_blocks(usage: &str) -> Vec<UsageBlock<'_>> {
 }
 
 impl ParsedArgs {
-    /// Parses a raw argument list (without the program name).
+    /// Parses a raw argument list (without the program name) with no
+    /// usage check; the unit tests' entry point.
     ///
     /// # Errors
     ///
     /// Returns [`ArgsError`] for malformed input.
+    #[cfg(test)]
     pub fn parse<I, S>(args: I) -> Result<Self, ArgsError>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        Self::parse_lenient(args)?.require_values()
+    }
+
+    /// Parses a raw argument list (without the program name) and checks
+    /// its options against `usage` ([`ParsedArgs::reject_unknown`])
+    /// before it checks that each has its value, so a misspelled last
+    /// option is reported as unknown rather than as missing a value.
+    /// With `--help` anywhere, neither check runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError`] for malformed input or an unknown option.
+    pub fn parse_checked<I, S>(args: I, usage: &str) -> Result<Self, ArgsError>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let parsed = Self::parse_lenient(args)?;
+        if parsed.flag("help") {
+            return Ok(parsed);
+        }
+        parsed.reject_unknown(usage)?;
+        parsed.require_values()
+    }
+
+    /// Parses without checks; a last option missing its value is kept
+    /// in `dangling` instead of failing.
+    fn parse_lenient<I, S>(args: I) -> Result<Self, ArgsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -125,11 +161,10 @@ impl ParsedArgs {
                     parsed.options.insert(key.to_string(), value.to_string());
                 } else if BOOLEAN_FLAGS.contains(&stripped) {
                     parsed.flags.push(stripped.to_string());
-                } else {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgsError::MissingValue(stripped.to_string()))?;
+                } else if let Some(value) = iter.next() {
                     parsed.options.insert(stripped.to_string(), value);
+                } else {
+                    parsed.dangling = Some(stripped.to_string());
                 }
             } else if parsed.subcommand.is_none() {
                 parsed.subcommand = Some(arg);
@@ -140,6 +175,13 @@ impl ParsedArgs {
             }
         }
         Ok(parsed)
+    }
+
+    fn require_values(self) -> Result<Self, ArgsError> {
+        match self.dangling {
+            Some(option) => Err(ArgsError::MissingValue(option)),
+            None => Ok(self),
+        }
     }
 
     /// The subcommand, if any.
@@ -217,6 +259,7 @@ impl ParsedArgs {
             .options
             .keys()
             .chain(&self.flags)
+            .chain(&self.dangling)
             .find(|given| !blocks.iter().any(|b| b.options.contains(&given.as_str())))
         {
             Some(unknown) => Err(ArgsError::UnknownOption(unknown.clone())),
@@ -319,6 +362,24 @@ NOTES: --hidden is prose, not a flag
             parsed(&["store", "prune", "--x", "1"]).reject_unknown(usage),
             Ok(())
         );
+    }
+
+    #[test]
+    fn a_trailing_unknown_option_is_unknown_not_missing_its_value() {
+        let usage = "demo\n\nUSAGE:\n  temspc replay --model m [--digest]\n  temspc help\n";
+        let checked = |tokens: &[&str]| ParsedArgs::parse_checked(tokens.iter().copied(), usage);
+        assert_eq!(
+            checked(&["replay", "--model", "m", "--digets"]).unwrap_err(),
+            ArgsError::UnknownOption("digets".into())
+        );
+        assert_eq!(
+            checked(&["replay", "--model"]).unwrap_err(),
+            ArgsError::MissingValue("model".into())
+        );
+        assert!(checked(&["--help"]).unwrap().flag("help"));
+        assert!(checked(&["replay", "--bogus", "1", "--help"])
+            .unwrap()
+            .flag("help"));
     }
 
     #[test]

@@ -37,8 +37,7 @@ USAGE:
                     [--seed-stride 1000000]
                     [--calib-runs 4] [--calib-hours 2] [--calib-seed 1000]]
                    [--addr 127.0.0.1:4840]
-                   [--max-connections 1024] [--queue-depth 256]
-                   [--batch-steps 512] [--threads 0] [--expect <n>]
+                   [--max-connections 1024] [--threads 0] [--expect <n>]
                    [--incidents incidents.log]
                    [--report ingest_session.tpb] [--metrics ingest.prom]
   temspc ingest    drive [--addr 127.0.0.1:4840] [--tapes a.cap,b.cap]
@@ -71,15 +70,16 @@ evict` deletes a persisted key. A store entry is a model file:
 
 LIVE INGESTION: `ingest serve` accepts live fieldbus traffic over TCP
 (thousands of concurrent plant connections on one non-blocking event
-loop), scores each stream with the same T2/SPE path `replay` uses, and
-flushes a TPB session report on SIGINT/SIGTERM after draining in-flight
-batches. `ingest drive` replays recorded .cap tapes over real sockets
-as a load generator. Served detections are bit-identical to offline
-replay: diff the digest `serve` prints against `replay --digest` of the
-same tape. `fleet` and `serve` both drain and checkpoint on Ctrl-C.
+loop), scores each stream with the same T2/SPE path `replay` uses as
+it reads it (at most one 64 KiB read per connection per turn, so TCP
+flow control holds back a sender that outpaces scoring), and flushes a
+TPB session report on SIGINT/SIGTERM with open streams marked failed.
+`ingest drive` replays recorded .cap tapes over real sockets as a load
+generator. Served detections are bit-identical to offline replay: diff
+the digest `serve` prints against `replay --digest` of the same tape. `fleet` and `serve` both drain and checkpoint on Ctrl-C.
 
-Each subcommand accepts exactly the options its USAGE lines name; any
-other option is an error (exit status 2)."#;
+Each subcommand accepts exactly the options its USAGE lines name, and
+--help prints this text; any other option is an error (exit status 2)."#;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -672,8 +672,6 @@ fn ingest_serve_config(args: &ParsedArgs) -> Result<temspc_ingest::IngestConfig,
     let config = temspc_ingest::IngestConfig {
         addr: args.get_or("addr", "127.0.0.1:4840").to_string(),
         max_connections: args.get_parsed("max-connections", 1024)?,
-        queue_depth: args.get_parsed("queue-depth", 256)?,
-        batch_steps: args.get_parsed("batch-steps", 512)?,
         threads: args.get_parsed("threads", 0)?,
         expect: match args.get("expect") {
             None => None,
@@ -683,12 +681,6 @@ fn ingest_serve_config(args: &ParsedArgs) -> Result<temspc_ingest::IngestConfig,
     };
     if config.max_connections == 0 {
         return Err("--max-connections must be at least 1".into());
-    }
-    if config.queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".into());
-    }
-    if config.batch_steps == 0 {
-        return Err("--batch-steps must be at least 1".into());
     }
     Ok(config)
 }
@@ -774,19 +766,18 @@ fn run_ingest_serve(
     }
     match server.config().expect {
         Some(n) => println!("serving until {n} connection(s) complete (or SIGINT/SIGTERM)"),
-        None => println!("serving until SIGINT/SIGTERM; draining in-flight batches on stop"),
+        None => println!("serving until SIGINT/SIGTERM; open streams are reported on stop"),
     }
     let stop = temspc_ingest::install_handlers();
     let report = server.run(stop)?;
 
     print_plants(&report.fleet_report());
     println!(
-        "totals: {} connection(s), {} frames, {} steps, {} wire bytes, {} dropped, {} reassembly error(s)",
+        "totals: {} connection(s), {} frames, {} steps, {} wire bytes, {} reassembly error(s)",
         report.connections.len(),
         report.frames,
         report.steps,
         report.bytes,
-        report.drops,
         report.reassembly_errors
     );
     temspc_ingest::save_report(&report, &report_path)?;
@@ -841,8 +832,6 @@ mod tests {
         let config = ingest_serve_config(&args).unwrap();
         assert_eq!(config.addr, "127.0.0.1:4840");
         assert_eq!(config.max_connections, 1024);
-        assert_eq!(config.queue_depth, 256);
-        assert_eq!(config.batch_steps, 512);
         assert_eq!(config.threads, 0);
         assert_eq!(config.expect, None);
     }
@@ -857,10 +846,6 @@ mod tests {
             "--addr",
             "0.0.0.0:9000",
             "--max-connections=64",
-            "--queue-depth",
-            "32",
-            "--batch-steps",
-            "128",
             "--threads",
             "3",
             "--expect",
@@ -869,22 +854,14 @@ mod tests {
         let config = ingest_serve_config(&args).unwrap();
         assert_eq!(config.addr, "0.0.0.0:9000");
         assert_eq!(config.max_connections, 64);
-        assert_eq!(config.queue_depth, 32);
-        assert_eq!(config.batch_steps, 128);
         assert_eq!(config.threads, 3);
         assert_eq!(config.expect, Some(64));
     }
 
     #[test]
     fn ingest_serve_rejects_zero_limits() {
-        for bad in [
-            ["ingest", "serve", "--max-connections", "0"],
-            ["ingest", "serve", "--queue-depth", "0"],
-            ["ingest", "serve", "--batch-steps", "0"],
-        ] {
-            let args = parse(&bad);
-            assert!(ingest_serve_config(&args).is_err(), "accepted {bad:?}");
-        }
+        let args = parse(&["ingest", "serve", "--max-connections", "0"]);
+        assert!(ingest_serve_config(&args).is_err());
     }
 
     #[test]
@@ -1024,12 +1001,7 @@ mod tests {
                 "USAGE lost the '{name}' subcommand"
             );
         }
-        for flag in [
-            "--max-connections",
-            "--queue-depth",
-            "--batch-steps",
-            "--digest",
-        ] {
+        for flag in ["--max-connections", "--digest"] {
             assert!(USAGE.contains(flag), "USAGE lost the '{flag}' flag");
         }
     }

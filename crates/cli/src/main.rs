@@ -25,9 +25,7 @@ mod commands;
 use args::ParsedArgs;
 
 fn main() {
-    let parsed = ParsedArgs::parse(std::env::args().skip(1))
-        .and_then(|p| p.reject_unknown(commands::USAGE).map(|()| p));
-    let parsed = match parsed {
+    let parsed = match ParsedArgs::parse_checked(std::env::args().skip(1), commands::USAGE) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -35,7 +33,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let outcome = match parsed.subcommand() {
+    let subcommand = if parsed.flag("help") {
+        Some("help")
+    } else {
+        parsed.subcommand()
+    };
+    let outcome = match subcommand {
         Some("simulate") => commands::simulate(&parsed),
         Some("calibrate") => commands::calibrate(&parsed),
         Some("detect") => commands::detect(&parsed),

@@ -14,6 +14,13 @@ fn unknown_flags_exit_2_and_name_the_flag() {
         (calibrate.as_str(), "--hourz"),
         ("list --bogus-flag 3", "--bogus-flag"),
         ("ingest serve --model absent.tpb --modle x", "--modle"),
+        // Last on the line, a misspelled option still reads as unknown,
+        // not as an option missing its value.
+        (
+            "replay --model absent.tpb --capture absent.cap --digets",
+            "--digets",
+        ),
+        ("ingest serve --queue-depth 8", "--queue-depth"),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_temspc"))
             .args(line.split_whitespace())
@@ -27,4 +34,22 @@ fn unknown_flags_exit_2_and_name_the_flag() {
         );
     }
     assert!(!out.exists(), "calibrate ran despite the unknown flag");
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for line in ["--help", "calibrate --help"] {
+        let run = Command::new(env!("CARGO_BIN_EXE_temspc"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("spawn temspc");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{line}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        assert!(stdout.contains("USAGE:"), "{line}: {stdout}");
+    }
 }

@@ -152,10 +152,12 @@ fn capture_path(dir: &str, plant: usize) -> PathBuf {
 }
 
 /// The store key plant `i` resolves its model under: cohort
-/// `i % cohorts`. A pure function of the configuration, so the same
-/// plant always scores against the same calibration lineage.
-pub fn plant_key(config: &FleetConfig, plant: usize) -> PlantKey {
-    PlantKey::cohort(plant % config.cohorts.max(1))
+/// `i % cohorts` (`cohorts` clamped to ≥ 1). The one plant → cohort
+/// mapping: the fleet engine and the ingestion server both key the
+/// store through it, so the same plant always scores against the same
+/// calibration lineage on either front end.
+pub fn plant_key(cohorts: usize, plant: usize) -> PlantKey {
+    PlantKey::cohort(plant % cohorts.max(1))
 }
 
 /// Rejects a capture recorded under a different scenario than the one
@@ -489,7 +491,7 @@ impl<'a> FleetEngine<'a> {
         match &self.models {
             Models::Shared(monitor) => Ok(ResolvedMonitor::Shared(monitor)),
             Models::Store(store) => {
-                let key = plant_key(&self.config, plant);
+                let key = plant_key(self.config.cohorts, plant);
                 store
                     .get(&key)
                     .map(ResolvedMonitor::Stored)
@@ -577,7 +579,7 @@ impl<'a> FleetEngine<'a> {
             // re-run against the current model instead of mixing
             // calibrations inside one report.
             records.retain(|r| {
-                let key = plant_key(&self.config, r.plant as usize);
+                let key = plant_key(self.config.cohorts, r.plant as usize);
                 matches!(
                     store.generation_on_disk(&key),
                     Ok(Some(gen)) if gen == r.model_generation

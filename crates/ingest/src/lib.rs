@@ -18,9 +18,10 @@
 //!   a degraded pure-`std` tick elsewhere) behind one tiny API.
 //! * [`stream`] — the wire protocol: handshake framing, incremental
 //!   torn-read-safe parsing, hostile-input hardening.
-//! * [`server`] — the event loop + intake pipeline: bounded per-plant
-//!   queues, park/unpark backpressure, batch scoring on the worker
-//!   pool, one [`temspc_fleet::PlantRecord`] per connection.
+//! * [`server`] — one event loop on one thread: each turn reads at most
+//!   one buffer per ready connection (TCP flow control is the
+//!   backpressure), scores the reassembled steps on the worker pool, and
+//!   reports one [`temspc_fleet::PlantRecord`] per connection.
 //! * [`drive`] — the tape-replay load generator used by the smoke tests
 //!   and the ingestion benchmark.
 //! * [`shutdown`] — SIGINT/SIGTERM to a cooperative stop flag, so serve
@@ -35,8 +36,7 @@ pub mod shutdown;
 pub mod stream;
 
 pub use drive::{drive, DriveConfig, DriveError, DriveReport};
-pub use poller::Polling;
-pub use server::{load_report, save_report, IngestConfig, IngestReport, IngestServer, ModelSource};
+pub use server::{load_report, save_report, IngestConfig, IngestReport, IngestServer};
 pub use shutdown::{install_handlers, stop_flag};
 pub use stream::{
     encode_hello, encode_record, Hello, StreamError, StreamEvent, StreamParser, HELLO_LEN,

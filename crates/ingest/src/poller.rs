@@ -5,7 +5,7 @@
 //! dependency policy rules out `mio`/`libc`, so on Linux the [`Poller`]
 //! declares the four `epoll` entry points directly against the C library
 //! the standard library already links. Elsewhere a degraded pure-`std`
-//! backend reports every read-interested socket as ready on a short
+//! backend reports every registered socket as ready on a short
 //! timer tick — correct (all I/O is non-blocking, so spurious readiness
 //! only costs a `WouldBlock`) but busier, which is acceptable for the
 //! non-production platforms it covers.
@@ -36,59 +36,6 @@ pub use linux::Poller;
 #[cfg(not(target_os = "linux"))]
 pub use fallback::Poller;
 
-/// The readiness operations the event loop needs, abstracted so tests
-/// can substitute a misbehaving poller (e.g. one whose re-arm fails) and
-/// exercise the server's failure paths deterministically.
-pub trait Polling {
-    /// Registers `fd` under `token`, initially read-interested when
-    /// `readable`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's registration failure.
-    fn register(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()>;
-
-    /// Re-arms or parks read interest on a registered descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's re-arm failure.
-    fn set_readable(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()>;
-
-    /// Removes a registration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's deregistration failure.
-    fn deregister(&self, fd: RawFd) -> io::Result<()>;
-
-    /// Waits up to `timeout_ms` for readiness, filling `out` (cleared
-    /// first) and returning the event count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's wait failure.
-    fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<usize>;
-}
-
-impl Polling for Poller {
-    fn register(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
-        Poller::register(self, fd, token, readable)
-    }
-
-    fn set_readable(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
-        Poller::set_readable(self, fd, token, readable)
-    }
-
-    fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        Poller::deregister(self, fd)
-    }
-
-    fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<usize> {
-        Poller::wait(self, out, timeout_ms)
-    }
-}
-
 #[cfg(target_os = "linux")]
 mod linux {
     use super::{io, PollEvent, RawFd};
@@ -96,7 +43,6 @@ mod linux {
     const EPOLL_CLOEXEC: i32 = 0x80000;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
     const EPOLLIN: u32 = 0x1;
     const EPOLLERR: u32 = 0x8;
     const EPOLLHUP: u32 = 0x10;
@@ -147,9 +93,9 @@ mod linux {
             Ok(Poller { epfd })
         }
 
-        fn ctl(&self, op: i32, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
+        fn ctl(&self, op: i32, fd: RawFd, token: usize) -> io::Result<()> {
             let mut event = EpollEvent {
-                events: if readable { EPOLLIN | EPOLLRDHUP } else { 0 },
+                events: EPOLLIN | EPOLLRDHUP,
                 data: token as u64,
             };
             let event_ptr = if op == EPOLL_CTL_DEL {
@@ -160,26 +106,13 @@ mod linux {
             cvt(unsafe { epoll_ctl(self.epfd, op, fd, event_ptr) }).map(|_| ())
         }
 
-        /// Registers `fd` under `token`, initially read-interested when
-        /// `readable`.
+        /// Registers read interest in `fd` under `token`.
         ///
         /// # Errors
         ///
         /// Propagates `epoll_ctl` failure.
-        pub fn register(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, readable)
-        }
-
-        /// Re-arms or parks read interest on a registered descriptor —
-        /// the backpressure lever: a parked connection stays open but the
-        /// kernel stops reporting it readable, so its peer's TCP window
-        /// eventually closes.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_ctl` failure.
-        pub fn set_readable(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, readable)
+        pub fn register(&self, fd: RawFd, token: usize) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token)
         }
 
         /// Removes a registration.
@@ -188,7 +121,7 @@ mod linux {
         ///
         /// Propagates `epoll_ctl` failure.
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, false)
+            self.ctl(EPOLL_CTL_DEL, fd, 0)
         }
 
         /// Waits up to `timeout_ms` for readiness, appending events to
@@ -239,13 +172,13 @@ mod fallback {
     use std::time::Duration;
 
     /// Degraded pure-`std` backend: no OS readiness facility, so every
-    /// read-interested registration is reported ready on each tick.
+    /// registration is reported ready on each tick.
     /// Sound because all ingestion I/O is non-blocking (a spurious
     /// readable costs one `WouldBlock` read), but it polls rather than
     /// sleeps — fine for the non-Linux dev platforms it covers.
     #[derive(Debug, Default)]
     pub struct Poller {
-        registered: Mutex<BTreeMap<RawFd, (usize, bool)>>,
+        registered: Mutex<BTreeMap<RawFd, usize>>,
     }
 
     impl Poller {
@@ -258,37 +191,17 @@ mod fallback {
             Ok(Poller::default())
         }
 
-        /// Registers `fd` under `token`.
+        /// Registers read interest in `fd` under `token`.
         ///
         /// # Errors
         ///
         /// Infallible on this backend.
-        pub fn register(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
+        pub fn register(&self, fd: RawFd, token: usize) -> io::Result<()> {
             self.registered
                 .lock()
                 .expect("poller registry poisoned")
-                .insert(fd, (token, readable));
+                .insert(fd, token);
             Ok(())
-        }
-
-        /// Re-arms or parks read interest.
-        ///
-        /// # Errors
-        ///
-        /// Fails with `NotFound` if `fd` was never registered.
-        pub fn set_readable(&self, fd: RawFd, token: usize, readable: bool) -> io::Result<()> {
-            match self
-                .registered
-                .lock()
-                .expect("poller registry poisoned")
-                .get_mut(&fd)
-            {
-                Some(entry) => {
-                    *entry = (token, readable);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
         }
 
         /// Removes a registration.
@@ -304,8 +217,8 @@ mod fallback {
             Ok(())
         }
 
-        /// Sleeps one short tick, then reports every read-interested
-        /// registration as readable.
+        /// Sleeps one short tick, then reports every registration as
+        /// readable.
         ///
         /// # Errors
         ///
@@ -314,19 +227,17 @@ mod fallback {
             out.clear();
             let tick = timeout_ms.clamp(1, 10) as u64;
             std::thread::sleep(Duration::from_millis(tick));
-            for (&_fd, &(token, readable)) in self
+            for &token in self
                 .registered
                 .lock()
                 .expect("poller registry poisoned")
-                .iter()
+                .values()
             {
-                if readable {
-                    out.push(PollEvent {
-                        token,
-                        readable: true,
-                        closed: false,
-                    });
-                }
+                out.push(PollEvent {
+                    token,
+                    readable: true,
+                    closed: false,
+                });
             }
             Ok(out.len())
         }
@@ -341,7 +252,7 @@ mod tests {
     use std::os::fd::AsRawFd;
 
     #[test]
-    fn reports_readable_data_and_respects_parking() {
+    fn reports_readable_data() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
@@ -349,7 +260,7 @@ mod tests {
         server.set_nonblocking(true).unwrap();
 
         let poller = Poller::new().unwrap();
-        poller.register(server.as_raw_fd(), 7, true).unwrap();
+        poller.register(server.as_raw_fd(), 7).unwrap();
 
         client.write_all(b"hello").unwrap();
         client.flush().unwrap();
@@ -364,26 +275,6 @@ mod tests {
             }
         }
         assert!(saw, "pending data never reported readable");
-
-        // Parked: the pending data must stop being reported.
-        poller.set_readable(server.as_raw_fd(), 7, false).unwrap();
-        poller.wait(&mut events, 20).unwrap();
-        assert!(
-            events.iter().all(|e| e.token != 7),
-            "parked fd still reported"
-        );
-
-        // Unparked: reported again (level-triggered).
-        poller.set_readable(server.as_raw_fd(), 7, true).unwrap();
-        let mut saw = false;
-        for _ in 0..100 {
-            poller.wait(&mut events, 50).unwrap();
-            if events.iter().any(|e| e.token == 7 && e.readable) {
-                saw = true;
-                break;
-            }
-        }
-        assert!(saw, "unparked fd never reported readable again");
 
         let mut server = server;
         let mut buf = [0u8; 8];
